@@ -18,9 +18,6 @@
 //!                     [--retries N] [--backoff-ms N] [--share-memo]
 //!                     [--optimize <pareto|anneal|genetic>] [--budget N]
 //!                     [--seed N] [--objectives <list>] [--rounds N]
-//! ecochip bench [--suite <core|serve|all>] [--smoke] [--repeats N]
-//!               [--out <dir>] [--baseline <dir>] [--tolerance <pct>]
-//!               [--check | --bless]
 //! ```
 //!
 //! Any `--testcase` / `--design` run accepts:
@@ -78,11 +75,6 @@
 //! each worker explores its shard of the space under a derived seed, the
 //! merged global frontier is exchanged between islands every `--rounds`
 //! round, and one merged `done` line closes the stream.
-//!
-//! `ecochip bench` runs the fixed perf workload matrix of
-//! [`eco_chip::bench`] and writes `BENCH_core.json` / `BENCH_serve.json`;
-//! `--check` fails (exit 1) when a fresh run regresses beyond the
-//! tolerance against the committed baselines, `--bless` refreshes them.
 //!
 //! Exit codes: `0` on success, `2` for usage errors (unknown subcommands,
 //! flags, test cases, sweep axes, malformed `--addr`), `1` for runtime
@@ -182,11 +174,6 @@ fn print_usage() {
     eprintln!("                [--seed N] [--objectives <list>] [--rounds N]");
     eprintln!("                                               fan a sweep out and merge shards,");
     eprintln!("                                               or run an island-model search");
-    eprintln!("  ecochip bench [--suite <core|serve|all>] [--smoke] [--repeats N]");
-    eprintln!("                [--out <dir>] [--baseline <dir>] [--tolerance <pct>]");
-    eprintln!("                [--check | --bless]");
-    eprintln!("                                               run the perf workload matrix and");
-    eprintln!("                                               gate/refresh BENCH_*.json baselines");
     eprintln!();
     eprintln!("built-in test cases:");
     for name in catalog::names() {
@@ -1142,156 +1129,6 @@ fn run_orchestrate(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// `ecochip bench`: run the deterministic perf workload matrix, write
-/// `BENCH_core.json` / `BENCH_serve.json`, and optionally gate a fresh run
-/// against committed baselines (`--check`) or refresh them (`--bless`).
-fn run_bench(args: &[String]) -> CliResult {
-    use eco_chip::bench::{self, BenchOptions};
-
-    let mut options = BenchOptions::default();
-    let mut suites = "all".to_owned();
-    let mut out_dir: Option<PathBuf> = None;
-    let mut baseline_dir = PathBuf::from(".");
-    let mut check = false;
-    let mut bless = false;
-    let mut tolerance = bench::DEFAULT_TOLERANCE_PERCENT;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--suite" => {
-                suites = value_of(args, i, "--suite")?;
-                i += 2;
-            }
-            "--smoke" => {
-                options.smoke = true;
-                i += 1;
-            }
-            "--repeats" => {
-                options.repeats = positive(&value_of(args, i, "--repeats")?, "--repeats")?;
-                i += 2;
-            }
-            "--out" => {
-                out_dir = Some(PathBuf::from(value_of(args, i, "--out")?));
-                i += 2;
-            }
-            "--baseline" => {
-                baseline_dir = PathBuf::from(value_of(args, i, "--baseline")?);
-                i += 2;
-            }
-            "--check" => {
-                check = true;
-                i += 1;
-            }
-            "--bless" => {
-                bless = true;
-                i += 1;
-            }
-            "--tolerance" => {
-                let value = value_of(args, i, "--tolerance")?;
-                tolerance = value
-                    .parse()
-                    .ok()
-                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-                    .ok_or_else(|| {
-                        CliError::usage(format!(
-                            "--tolerance needs a non-negative number of percent, got {value:?}"
-                        ))
-                    })?;
-                i += 2;
-            }
-            other => return Err(CliError::usage(format!("unknown bench flag {other:?}"))),
-        }
-    }
-    if check && bless {
-        return Err(CliError::usage(
-            "--check and --bless are mutually exclusive",
-        ));
-    }
-    let (want_core, want_serve) = match suites.as_str() {
-        "all" => (true, true),
-        "core" => (true, false),
-        "serve" => (false, true),
-        other => {
-            return Err(CliError::usage(format!(
-                "--suite must be core, serve or all, got {other:?}"
-            )))
-        }
-    };
-    // `--bless` refreshes the committed baselines in place; otherwise fresh
-    // results go to `--out` (default: the baseline directory, which keeps
-    // the no-flag invocation useful as a local refresh). A bare `--check`
-    // must NOT clobber the baselines it just gated against, so without an
-    // explicit `--out` a checking run only prints and gates.
-    let write_results = bless || !check || out_dir.is_some();
-    let out_dir = if bless {
-        baseline_dir.clone()
-    } else {
-        out_dir.unwrap_or_else(|| baseline_dir.clone())
-    };
-    if write_results {
-        std::fs::create_dir_all(&out_dir)?;
-    }
-
-    type SuiteRunner = fn(&BenchOptions) -> Result<bench::BenchSuite, bench::BenchError>;
-    let plan: [(bool, &str, SuiteRunner); 2] = [
-        (want_core, bench::CORE_BASELINE, bench::run_core),
-        (want_serve, bench::SERVE_BASELINE, bench::run_serve),
-    ];
-    let mut regressions = Vec::new();
-    for (enabled, file_name, run) in plan {
-        if !enabled {
-            continue;
-        }
-        // Load the baseline BEFORE writing anything: with the default
-        // `--out` the fresh results land in the baseline directory, and
-        // reading afterwards would compare the fresh run against itself —
-        // a gate that can never fail. A missing baseline is a hard error,
-        // not a silent pass.
-        let baseline = if check {
-            Some(bench::load_suite(&baseline_dir.join(file_name))?)
-        } else {
-            None
-        };
-        eprintln!("bench: running {file_name} workloads ...");
-        let suite = run(&options)?;
-        for record in &suite.results {
-            eprintln!(
-                "  {}/{}: {:.4} {} ({} iterations in {:.3}s)",
-                record.workload,
-                record.metric,
-                record.value,
-                record.units,
-                record.iterations,
-                record.wall_clock_seconds
-            );
-        }
-        if write_results {
-            let out_path = out_dir.join(file_name);
-            bench::write_suite(&suite, &out_path)?;
-            eprintln!("bench: wrote {}", out_path.display());
-        }
-        if let Some(baseline) = baseline {
-            regressions.extend(bench::compare(&baseline, &suite, tolerance));
-        }
-    }
-    if !regressions.is_empty() {
-        for regression in &regressions {
-            eprintln!("bench: REGRESSION: {regression}");
-        }
-        return Err(CliError::Run(
-            format!(
-                "{} perf regression(s) beyond the {tolerance}% tolerance",
-                regressions.len()
-            )
-            .into(),
-        ));
-    }
-    if check {
-        eprintln!("bench: perf check passed ({tolerance}% tolerance)");
-    }
-    Ok(())
-}
-
 /// Reject a malformed `ECOCHIP_CHUNK` before any engine silently falls
 /// back to the default — a typo'd chunk size should fail loudly, exactly
 /// like a malformed `--chunk`.
@@ -1316,10 +1153,9 @@ fn real_main() -> CliResult {
     match args[0].as_str() {
         "serve" => return run_serve(&args[1..]),
         "orchestrate" => return run_orchestrate(&args[1..]),
-        "bench" => return run_bench(&args[1..]),
         other if !other.starts_with('-') => {
             return Err(CliError::usage(format!(
-                "unknown subcommand {other:?} (expected serve, orchestrate or bench); \
+                "unknown subcommand {other:?} (expected serve or orchestrate); \
                  run `ecochip --help` for usage"
             )));
         }

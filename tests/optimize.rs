@@ -319,6 +319,7 @@ fn cli_optimize_is_byte_deterministic_and_exits_2_on_bad_flags() {
             ],
             "does not apply to --optimize",
         ),
+        (&["bench"], "expected serve or orchestrate"),
     ];
     for (args, hint) in usage_cases {
         let output = Command::new(BIN).args(*args).output().expect("run ecochip");

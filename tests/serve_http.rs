@@ -366,6 +366,11 @@ fn malformed_requests_get_http_errors_not_hangs() {
     assert_eq!(response.status, 400);
     assert!(response.text().unwrap().contains("warp-core"));
 
+    // Nesting far past the parser's depth limit → 400, not a stack overflow.
+    let response = client::post_json(&addr, "/v1/estimate", &"[".repeat(100_000)).unwrap();
+    assert_eq!(response.status, 400);
+    assert!(response.text().unwrap().contains("recursion limit"));
+
     // Neither testcase nor system → 400.
     let response = client::post_json(&addr, "/v1/estimate", "{}").unwrap();
     assert_eq!(response.status, 400);
