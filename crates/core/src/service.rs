@@ -18,7 +18,7 @@ use crate::error::EcoChipError;
 use crate::estimator::EcoChip;
 use crate::report::CarbonReport;
 use crate::sweep::{
-    Shard, SweepContext, SweepEngine, SweepPoint, SweepSink, SweepSpec, SweepStats,
+    PointEncoder, Shard, SweepContext, SweepEngine, SweepPoint, SweepSink, SweepSpec, SweepStats,
 };
 use crate::system::System;
 
@@ -497,9 +497,10 @@ impl EcoChipService {
 
 /// Wraps a caller sink so every emitted point bumps the service counters
 /// and checks the autosave threshold — a million-point sweep persists its
-/// memo as it goes, not only at exit. Batched emission passes straight
-/// through to the inner sink's bulk path, with one counter update and one
-/// autosave check per batch instead of per point.
+/// memo as it goes, not only at exit. Batched and encoded emission pass
+/// straight through to the inner sink's bulk paths (and its encoder), with
+/// one counter update and one autosave check per chunk instead of per
+/// point.
 struct InstrumentedSink<'a, S: SweepSink + ?Sized> {
     service: &'a EcoChipService,
     sink: &'a mut S,
@@ -527,6 +528,16 @@ impl<S: SweepSink + ?Sized> SweepSink for InstrumentedSink<'_, S> {
         let count = points.len() as u64;
         self.sink.accept_batch(points)?;
         self.record(count);
+        Ok(())
+    }
+
+    fn encoder(&self) -> Option<PointEncoder> {
+        self.sink.encoder()
+    }
+
+    fn accept_encoded(&mut self, bytes: &[u8], points: usize) -> Result<(), EcoChipError> {
+        self.sink.accept_encoded(bytes, points)?;
+        self.record(points as u64);
         Ok(())
     }
 }

@@ -192,7 +192,10 @@ pub struct SweepContext {
     enabled: bool,
     /// Maximum entries *per cache* (`None` = unbounded).
     capacity: Option<usize>,
-    floorplans: Mutex<MemoMap<FloorplanKey, Floorplan>>,
+    /// Floorplans sit behind a `Box`: a table keeps up to twice as many
+    /// slots as entries, and an empty slot then costs a pointer rather than
+    /// a whole floorplan.
+    floorplans: Mutex<MemoMap<FloorplanKey, Box<Floorplan>>>,
     manufacturing: Mutex<MemoMap<ManufacturingKey, ChipletManufacturing>>,
     /// Monotonic age counter; every hit or insert stamps the entry touched.
     tick: AtomicU64,
@@ -309,6 +312,15 @@ impl SweepContext {
             }
             if map.len() >= cap && !map.contains_key(&key) {
                 Self::shrink_to(map, cap - 1, evictions);
+                if map.len() == map.capacity() {
+                    // Evictions leave tombstones, and a table whose free
+                    // slots are all tombstones doubles on the next insert
+                    // (hashbrown rehashes in place only below half load).
+                    // Rebuilding into the same allocation clears them, so
+                    // a cache at its bound keeps the table its bound needs.
+                    let entries: Vec<_> = map.drain().collect();
+                    map.extend(entries);
+                }
             }
         }
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
@@ -411,7 +423,7 @@ impl SweepContext {
             .lock()
             .expect("floorplan cache")
             .iter()
-            .map(|(k, cached)| (k.clone(), cached.value.clone()))
+            .map(|(k, cached)| (k.clone(), Floorplan::clone(&cached.value)))
             .collect();
         floorplans.sort_by(|a, b| a.0.cmp(&b.0));
         let mut manufacturing: Vec<(ManufacturingKey, ChipletManufacturing)> = self
@@ -463,7 +475,13 @@ impl SweepContext {
             let mut floorplans = context.floorplans.lock().expect("floorplan cache");
             for (key, value) in file.floorplans {
                 let stamp = context.tick.fetch_add(1, Ordering::Relaxed);
-                floorplans.insert(key, Cached { value, stamp });
+                floorplans.insert(
+                    key,
+                    Cached {
+                        value: Box::new(value),
+                        stamp,
+                    },
+                );
             }
         }
         {
@@ -582,7 +600,7 @@ impl SweepContext {
         {
             cached.stamp = self.tick.fetch_add(1, Ordering::Relaxed);
             self.floorplan_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(cached.value.clone());
+            return Ok(Floorplan::clone(&cached.value));
         }
         // Computed outside the lock so other workers make progress; a rare
         // duplicate computation of the same key is benign (same value).
@@ -591,7 +609,7 @@ impl SweepContext {
         self.insert_bounded(
             &mut self.floorplans.lock().expect("floorplan cache"),
             key,
-            plan.clone(),
+            Box::new(plan.clone()),
             &self.floorplan_evictions,
         );
         Ok(plan)
@@ -948,6 +966,38 @@ mod tests {
         assert_eq!(ctx.stats().manufacturing_hits, 0);
         assert_eq!(ctx.stats().manufacturing_misses, 3);
         assert_eq!(ctx.stats().manufacturing_evictions, 3);
+    }
+
+    #[test]
+    fn a_cache_at_its_bound_keeps_its_table_under_eviction_churn() {
+        let ctx = SweepContext::with_capacity(1000);
+        let evictions = AtomicUsize::new(0);
+        let mut map: MemoMap<u64, ()> = MemoMap::default();
+        let mut state = 0u64;
+        let mut next_key = || {
+            // splitmix64: well-spread keys, like real memo keys.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..1000 {
+            ctx.insert_bounded(&mut map, next_key(), (), &evictions);
+        }
+        let full = map.capacity();
+        // Each LRU eviction frees a slot or leaves a tombstone; the table
+        // must clear tombstones rather than double to make room for them.
+        for step in 0..30_000 {
+            ctx.insert_bounded(&mut map, next_key(), (), &evictions);
+            assert!(
+                map.capacity() <= full,
+                "step {step}: the table grew from {full} to {}",
+                map.capacity()
+            );
+        }
+        assert_eq!(map.len(), 1000);
+        assert_eq!(evictions.load(Ordering::Relaxed), 30_000);
     }
 
     #[test]

@@ -4,11 +4,15 @@
 //! *indices* (never a materialized case list), decode each case lazily from
 //! its [`CaseSource`], evaluate it against the shared [`SweepContext`], and
 //! hand the resulting [`SweepPoint`]s to a caller-supplied [`SweepSink`] in
-//! deterministic row-major order. A reorder window of `O(workers)` points
-//! provides backpressure, so streaming a million-point space holds only a
-//! handful of points in memory at any time. [`SweepEngine::run`] is the
-//! collect-to-`Vec` special case of the same machinery.
+//! deterministic row-major order. When the sink writes bytes, the workers
+//! also encode their points with the sink's [`PointEncoder`], so the
+//! emitting thread only passes finished bytes on. A reorder window of
+//! `O(workers)` chunks provides backpressure, so streaming a million-point
+//! space holds only a handful of points in memory at any time.
+//! [`SweepEngine::run`] is the collect-to-`Vec` special case of the same
+//! machinery.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -31,6 +35,37 @@ pub const CHUNK_ENV_VAR: &str = "ECOCHIP_CHUNK";
 /// O(points/K), small enough that the reorder window (O(jobs × chunk)
 /// points) stays tiny and load stays balanced across workers.
 pub const DEFAULT_CHUNK: usize = 32;
+
+/// Encodes one sweep point by appending its wire bytes to a chunk buffer.
+///
+/// A [`SweepSink`] that only writes bytes supplies one through
+/// [`SweepSink::encoder`]; the engine's workers then run it on the points
+/// of their own claim chunk, so encoding scales with the worker count
+/// instead of running on the one emitting thread. On an error the encoder
+/// may leave a partial encoding behind: the engine truncates the buffer
+/// back to the end of the previous point.
+pub type PointEncoder =
+    Box<dyn Fn(&SweepPoint, &mut Vec<u8>) -> Result<(), EcoChipError> + Send + Sync>;
+
+/// Run `encode` on this thread's reusable text buffer, cleared first.
+///
+/// The JSON shim writes into a `String`, so a [`PointEncoder`] builds each
+/// text line here and then copies it into its byte chunk (plain, or behind
+/// a binary length prefix) without a per-point allocation.
+pub fn with_line_buffer<R>(encode: impl FnOnce(&mut String) -> R) -> R {
+    thread_local! {
+        static LINE: RefCell<String> = const { RefCell::new(String::new()) };
+    }
+    LINE.with(|line| match line.try_borrow_mut() {
+        Ok(mut line) => {
+            line.clear();
+            encode(&mut line)
+        }
+        // A nested call (an encoder encoding inside an encoder) gets a
+        // fresh buffer instead of a borrow panic.
+        Err(_) => encode(&mut String::new()),
+    })
+}
 
 /// Receives evaluated sweep points, in the spec's deterministic case order.
 ///
@@ -63,6 +98,53 @@ pub const DEFAULT_CHUNK: usize = 32;
 /// assert!(worst > 0.0);
 /// # Ok::<(), ecochip_core::EcoChipError>(())
 /// ```
+///
+/// A sink that turns every point into bytes (an NDJSON or CSV stream)
+/// should also supply an [`encoder`](SweepSink::encoder): the workers
+/// then encode their own chunks, the reorder window holds encoded chunks,
+/// and the emitting thread only hands each chunk's bytes to
+/// [`accept_encoded`](SweepSink::accept_encoded) in case order:
+///
+/// ```
+/// use ecochip_core::sweep::{PointEncoder, SweepAxis, SweepEngine, SweepPoint, SweepSink, SweepSpec};
+/// use ecochip_core::{Chiplet, ChipletSize, EcoChip, EcoChipError, System};
+/// use ecochip_techdb::{DesignType, TechNode};
+///
+/// /// One `label\n` line per point.
+/// fn encode(point: &SweepPoint, out: &mut Vec<u8>) -> Result<(), EcoChipError> {
+///     out.extend_from_slice(point.label.as_bytes());
+///     out.push(b'\n');
+///     Ok(())
+/// }
+///
+/// struct Labels(Vec<u8>);
+/// impl SweepSink for Labels {
+///     fn emit(&mut self, point: SweepPoint) -> Result<(), EcoChipError> {
+///         encode(&point, &mut self.0)
+///     }
+///     fn encoder(&self) -> Option<PointEncoder> {
+///         Some(Box::new(encode))
+///     }
+///     fn accept_encoded(&mut self, bytes: &[u8], _points: usize) -> Result<(), EcoChipError> {
+///         self.0.extend_from_slice(bytes);
+///         Ok(())
+///     }
+/// }
+///
+/// let base = System::builder("demo")
+///     .chiplet(Chiplet::new(
+///         "soc",
+///         DesignType::Logic,
+///         TechNode::N7,
+///         ChipletSize::Transistors(5.0e9),
+///     ))
+///     .build()?;
+/// let spec = SweepSpec::new(base).axis(SweepAxis::lifetimes_years(&[1.0, 2.0, 4.0]));
+/// let mut sink = Labels(Vec::new());
+/// SweepEngine::with_jobs(2).run_streaming(&EcoChip::default(), &spec, &mut sink)?;
+/// assert_eq!(String::from_utf8(sink.0).unwrap().lines().count(), 3);
+/// # Ok::<(), ecochip_core::EcoChipError>(())
+/// ```
 pub trait SweepSink {
     /// Accept the next point. Returning an error aborts the sweep; the error
     /// is propagated to the caller of the streaming entry point.
@@ -80,6 +162,29 @@ pub trait SweepSink {
             self.emit(point)?;
         }
         Ok(())
+    }
+
+    /// The per-point byte encoder of a sink that only writes bytes, asked
+    /// for once per sweep. `None` (the default) keeps the struct path:
+    /// points reach [`SweepSink::accept_batch`]. With `Some`, the engine
+    /// never calls `emit` or `accept_batch`; its workers encode each
+    /// point and the emitting thread calls
+    /// [`SweepSink::accept_encoded`] instead, which such a sink must
+    /// override.
+    fn encoder(&self) -> Option<PointEncoder> {
+        None
+    }
+
+    /// Accept the encoded bytes of `points` contiguous points (one claim
+    /// chunk, or its prefix before an error), in case order. Called only
+    /// when [`SweepSink::encoder`] returned an encoder; concatenating every
+    /// call's `bytes` is exactly the stream of per-point encodings. The
+    /// default rejects the chunk.
+    fn accept_encoded(&mut self, bytes: &[u8], points: usize) -> Result<(), EcoChipError> {
+        let _ = (bytes, points);
+        Err(EcoChipError::Io(
+            "sweep sink supplied an encoder but does not accept encoded chunks".into(),
+        ))
     }
 }
 
@@ -493,36 +598,96 @@ impl SweepEngine {
             })
         };
 
+        // A byte-writing sink's encoder runs right after evaluation, on the
+        // thread that evaluated the chunk; the points are dropped once
+        // encoded. Encode time is recorded once per chunk, summed across
+        // workers like the estimate stage.
+        let encoder = sink.encoder();
+        let run_chunk = |start: usize, stop: usize, mut bytes: Vec<u8>| -> Chunk {
+            let mut points = Vec::with_capacity(stop - start);
+            let mut error = None;
+            for index in start..stop {
+                match evaluate(index) {
+                    Ok(point) => points.push(point),
+                    // Stop at the failing index: the emitter drains chunks
+                    // in order, so the lowest-index error surfaces first.
+                    Err(failure) => {
+                        error = Some(failure);
+                        break;
+                    }
+                }
+            }
+            let Some(encode) = &encoder else {
+                return Chunk {
+                    body: ChunkBody::Points(points),
+                    error,
+                };
+            };
+            let started = timings.map(|_| Instant::now());
+            let mut encoded = 0usize;
+            for point in &points {
+                let mark = bytes.len();
+                if let Err(failure) = encode(point, &mut bytes) {
+                    // An encode failure precedes any evaluation failure,
+                    // which can only sit at a higher index.
+                    bytes.truncate(mark);
+                    error = Some(failure);
+                    break;
+                }
+                if encoded == 0 {
+                    // Size a fresh buffer from the first point, with an
+                    // eighth to spare for longer points (a recycled buffer
+                    // already fits a chunk).
+                    bytes.reserve(bytes.len() * (points.len() - 1) * 9 / 8);
+                }
+                encoded += 1;
+            }
+            if let (Some(timings), Some(started)) = (timings, started) {
+                timings.record(Stage::Serialize, started.elapsed());
+            }
+            Chunk {
+                body: ChunkBody::Encoded { bytes, encoded },
+                error,
+            }
+        };
+
         let jobs = self.jobs.min(count);
         let chunk = self.chunk.max(1);
+        let mut spare = if encoder.is_some() {
+            SpareBuffers::take()
+        } else {
+            Vec::new()
+        };
         if jobs == 1 {
-            // Reference serial path: evaluate and emit in chunk-sized
-            // batches so batch-optimized sinks (one write per batch) get
-            // the same bulk entry point the parallel path uses.
+            // Reference serial path: evaluate (and encode) chunk by chunk
+            // and deliver each one exactly as the parallel emitter does,
+            // reusing one chunk buffer throughout.
             let mut emitted = 0usize;
             let mut cursor = range.start;
+            let mut buffer = spare.pop().unwrap_or_default();
             while cursor < range.end {
                 let stop = cursor.saturating_add(chunk).min(range.end);
-                let mut batch = Vec::with_capacity(stop - cursor);
-                for index in cursor..stop {
-                    batch.push(evaluate(index)?);
-                }
-                emitted += batch.len();
-                sink.accept_batch(batch)?;
+                let results = run_chunk(cursor, stop, std::mem::take(&mut buffer));
+                emitted += results.deliver(sink, &mut buffer)?;
                 cursor = stop;
             }
+            spare.push(buffer);
+            SpareBuffers::keep(spare);
             return Ok(emitted);
         }
 
         // Workers may run at most `window` points ahead of the emit cursor
         // (two chunks in flight per worker), which bounds the reorder
-        // buffer to O(jobs × chunk) points.
+        // buffer to O(jobs × chunk) points, as structs or encoded bytes.
+        // Emptied chunk buffers go back to `spare` for the next claim, so a
+        // sweep allocates at most as many as are ever in flight at once.
         let window = jobs * chunk * 2;
         let queue = ReorderQueue {
             state: Mutex::new(ReorderState {
                 next_claim: range.start,
                 next_emit: range.start,
                 buffer: HashMap::with_capacity(jobs * 2),
+                spare,
                 aborted: false,
             }),
             ready: Condvar::new(),
@@ -533,7 +698,7 @@ impl SweepEngine {
         std::thread::scope(|scope| {
             for _ in 0..jobs {
                 scope.spawn(|| loop {
-                    let (start, stop) = {
+                    let (start, stop, bytes) = {
                         let mut state = queue.state.lock().expect("sweep queue");
                         loop {
                             if state.aborted || state.next_claim >= end {
@@ -549,23 +714,13 @@ impl SweepEngine {
                         // boundaries and short tails never over-claim.
                         let stop = start.saturating_add(chunk).min(end);
                         state.next_claim = stop;
-                        (start, stop)
+                        (start, stop, state.spare.pop().unwrap_or_default())
                     };
                     // Evaluate the whole chunk without touching the queue:
                     // one claim + one insert per K points instead of per
-                    // point. On an error, stop at the failing index — the
-                    // emitter drains chunks in order, so the lowest-index
-                    // error still surfaces first.
-                    let mut results = Vec::with_capacity(stop - start);
-                    let mut failed = false;
-                    for index in start..stop {
-                        let result = evaluate(index);
-                        failed = result.is_err();
-                        results.push(result);
-                        if failed {
-                            break;
-                        }
-                    }
+                    // point.
+                    let results = run_chunk(start, stop, bytes);
+                    let failed = results.error.is_some();
                     let mut state = queue.state.lock().expect("sweep queue");
                     if failed {
                         // Stop claiming new chunks; everything below `start`
@@ -598,27 +753,14 @@ impl SweepEngine {
                             state = queue.ready.wait(state).expect("sweep queue");
                         }
                     };
-                    let mut batch = Vec::with_capacity(results.len());
-                    let mut failure = None;
-                    for result in results {
-                        match result {
-                            Ok(point) => batch.push(point),
-                            Err(error) => {
-                                failure = Some(error);
-                                break;
-                            }
-                        }
-                    }
-                    if !batch.is_empty() {
-                        emitted += batch.len();
-                        sink.accept_batch(batch)?;
-                    }
-                    if let Some(error) = failure {
-                        return Err(error);
-                    }
+                    let mut emptied = Vec::new();
+                    emitted += results.deliver(sink, &mut emptied)?;
                     cursor = cursor.saturating_add(chunk).min(end);
                     let mut state = queue.state.lock().expect("sweep queue");
                     state.next_emit = cursor;
+                    if emptied.capacity() > 0 {
+                        state.spare.push(emptied);
+                    }
                     drop(state);
                     // Advancing the window admits exactly one new chunk
                     // claim, so wake one parked worker; stragglers parked
@@ -633,10 +775,94 @@ impl SweepEngine {
             // worker so the scope can join them.
             let mut state = queue.state.lock().expect("sweep queue");
             state.aborted = true;
+            let spare = std::mem::take(&mut state.spare);
             drop(state);
             queue.space.notify_all();
+            SpareBuffers::keep(spare);
             outcome
         })
+    }
+}
+
+/// Encoded-chunk buffers kept from one sweep to the next.
+///
+/// A server streams sweep after sweep, each on fresh worker threads.
+/// Allocating every sweep's chunk buffers (tens of KB each) anew on those
+/// threads fragments the allocator's per-thread arenas, and resident
+/// memory then creeps up over a long run; reusing them keeps it flat.
+struct SpareBuffers;
+
+/// Most buffers [`SpareBuffers`] keeps: enough for a few concurrent sweeps'
+/// windows.
+const SPARE_BUFFERS_KEPT: usize = 16;
+
+/// Largest buffer [`SpareBuffers`] keeps, so a sweep with a huge claim chunk
+/// does not pin its buffers for the life of the process.
+const SPARE_BUFFER_MAX_BYTES: usize = 1 << 20;
+
+static SPARE_BUFFERS: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+
+impl SpareBuffers {
+    /// Every kept buffer, for one sweep.
+    fn take() -> Vec<Vec<u8>> {
+        std::mem::take(&mut *SPARE_BUFFERS.lock().expect("spare chunk buffers"))
+    }
+
+    /// Keep a finished sweep's emptied buffers, up to the bound.
+    fn keep(mut buffers: Vec<Vec<u8>>) {
+        buffers.retain(|buffer| (1..=SPARE_BUFFER_MAX_BYTES).contains(&buffer.capacity()));
+        let mut kept = SPARE_BUFFERS.lock().expect("spare chunk buffers");
+        let room = SPARE_BUFFERS_KEPT.saturating_sub(kept.len());
+        buffers.truncate(room);
+        kept.append(&mut buffers);
+    }
+}
+
+/// One evaluated claim chunk: its leading successful points and the error
+/// that cut it short, if any.
+struct Chunk {
+    body: ChunkBody,
+    error: Option<EcoChipError>,
+}
+
+/// The successful points of a [`Chunk`], in the form the sink takes them.
+enum ChunkBody {
+    /// The points themselves (sinks without an encoder).
+    Points(Vec<SweepPoint>),
+    /// The points' encodings, back to back in one buffer.
+    Encoded { bytes: Vec<u8>, encoded: usize },
+}
+
+impl Chunk {
+    /// Hand the chunk's points to `sink`, then surface its error. Returns
+    /// the number of points delivered; an encoded chunk's emptied buffer is
+    /// left in `emptied` for reuse.
+    fn deliver<S: SweepSink + ?Sized>(
+        self,
+        sink: &mut S,
+        emptied: &mut Vec<u8>,
+    ) -> Result<usize, EcoChipError> {
+        let delivered = match self.body {
+            ChunkBody::Points(points) => {
+                let delivered = points.len();
+                if delivered > 0 {
+                    sink.accept_batch(points)?;
+                }
+                delivered
+            }
+            ChunkBody::Encoded { mut bytes, encoded } => {
+                if encoded > 0 {
+                    sink.accept_encoded(&bytes, encoded)?;
+                }
+                bytes.clear();
+                *emptied = bytes;
+                encoded
+            }
+        };
+        match self.error {
+            Some(error) => Err(error),
+            None => Ok(delivered),
+        }
     }
 }
 
@@ -647,9 +873,11 @@ struct ReorderState {
     next_claim: usize,
     /// Next index the emitter will pass to the sink.
     next_emit: usize,
-    /// Out-of-order chunk results keyed by chunk start index, parked until
-    /// their turn (bounded by the window).
-    buffer: HashMap<usize, Vec<Result<SweepPoint, EcoChipError>>>,
+    /// Out-of-order chunks keyed by chunk start index, parked until their
+    /// turn (bounded by the window).
+    buffer: HashMap<usize, Chunk>,
+    /// Emptied chunk buffers, handed to the next chunk claims.
+    spare: Vec<Vec<u8>>,
     /// Set on evaluation/sink errors so workers stop claiming chunks.
     aborted: bool,
 }
@@ -1018,6 +1246,62 @@ mod tests {
         assert_eq!(sink.points, reference);
         // 12 points in chunks of 5 → batches of 5, 5, 2.
         assert_eq!(sink.batches, 3);
+    }
+
+    #[test]
+    fn encoder_sinks_receive_encoded_chunks_and_time_serialization() {
+        fn encode(point: &SweepPoint, out: &mut Vec<u8>) -> Result<(), EcoChipError> {
+            out.extend_from_slice(point.label.as_bytes());
+            out.push(b'\n');
+            Ok(())
+        }
+        struct Labels {
+            bytes: Vec<u8>,
+            chunks: Vec<usize>,
+        }
+        impl SweepSink for Labels {
+            fn emit(&mut self, _point: SweepPoint) -> Result<(), EcoChipError> {
+                unreachable!("points arrive encoded")
+            }
+            fn encoder(&self) -> Option<PointEncoder> {
+                Some(Box::new(encode))
+            }
+            fn accept_encoded(&mut self, bytes: &[u8], points: usize) -> Result<(), EcoChipError> {
+                self.bytes.extend_from_slice(bytes);
+                self.chunks.push(points);
+                Ok(())
+            }
+        }
+        let estimator = EcoChip::default();
+        let spec = spec();
+        let mut expected = Vec::new();
+        for point in SweepEngine::serial().run(&estimator, &spec).unwrap() {
+            encode(&point, &mut expected).unwrap();
+        }
+        for jobs in [1, 4] {
+            let timings = StageTimings::new();
+            let mut sink = Labels {
+                bytes: Vec::new(),
+                chunks: Vec::new(),
+            };
+            let emitted = SweepEngine::with_jobs(jobs)
+                .with_chunk(5)
+                .run_streaming_timed(
+                    &estimator,
+                    &spec,
+                    Shard::FULL,
+                    &SweepContext::new(),
+                    Some(&timings),
+                    &mut sink,
+                )
+                .unwrap();
+            assert_eq!(emitted, 12);
+            assert_eq!(sink.bytes, expected, "jobs={jobs}");
+            // 12 points in chunks of 5, each encoded once on a worker.
+            assert_eq!(sink.chunks, [5, 5, 2], "jobs={jobs}");
+            assert_eq!(timings.count(Stage::Serialize), 3, "jobs={jobs}");
+            assert_eq!(timings.count(Stage::Estimate), 12, "jobs={jobs}");
+        }
     }
 
     #[test]

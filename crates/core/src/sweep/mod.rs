@@ -73,7 +73,8 @@ mod engine;
 pub use axis::{Shard, SweepAxis, SweepCase, SweepCaseIter, SweepSpec};
 pub use context::{SweepContext, SweepStats, MEMO_FORMAT_VERSION};
 pub use engine::{
-    validate_case_range, SweepEngine, SweepSink, CHUNK_ENV_VAR, DEFAULT_CHUNK, JOBS_ENV_VAR,
+    validate_case_range, with_line_buffer, PointEncoder, SweepEngine, SweepSink, CHUNK_ENV_VAR,
+    DEFAULT_CHUNK, JOBS_ENV_VAR,
 };
 
 pub(crate) use engine::MappedSpec;
@@ -93,4 +94,29 @@ pub struct SweepPoint {
     pub system: System,
     /// The carbon report.
     pub report: CarbonReport,
+}
+
+impl SweepPoint {
+    /// Header of the sweep CSV that [`SweepPoint::write_csv_row`] rows
+    /// follow.
+    pub const CSV_HEADER: &'static str =
+        "label,manufacturing_kg,design_kg,hi_kg,embodied_kg,operational_kg,total_kg";
+
+    /// Append this point's sweep CSV row (no trailing newline): the label,
+    /// then the carbon breakdown in kg to four decimals.
+    pub fn write_csv_row(&self, out: &mut String) {
+        use std::fmt::Write;
+        let r = &self.report;
+        let _ = write!(
+            out,
+            "{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4}",
+            self.label,
+            r.manufacturing().kg(),
+            r.design().kg(),
+            r.hi_overhead().kg(),
+            r.embodied().kg(),
+            r.operational().kg(),
+            r.total().kg()
+        );
+    }
 }

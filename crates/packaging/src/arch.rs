@@ -480,4 +480,22 @@ mod tests {
         let back: PackagingArchitecture = serde_json::from_str(&json).unwrap();
         assert_eq!(arch, back);
     }
+
+    #[test]
+    fn direct_encoding_matches_the_value_tree_for_every_variant() {
+        let interposer = InterposerConfig::default();
+        for arch in [
+            PackagingArchitecture::RdlFanout(RdlFanoutConfig::default()),
+            PackagingArchitecture::SiliconBridge(SiliconBridgeConfig::default()),
+            PackagingArchitecture::PassiveInterposer(interposer),
+            PackagingArchitecture::ActiveInterposer(interposer),
+            PackagingArchitecture::ThreeD(ThreeDConfig::default()),
+        ] {
+            let mut direct = String::new();
+            serde::Serialize::write_json(&arch, &mut direct).unwrap();
+            let mut tree = String::new();
+            serde::write_json_value(&serde::Serialize::to_value(&arch), &mut tree).unwrap();
+            assert_eq!(direct, tree, "{}", arch.short_name());
+        }
+    }
 }

@@ -17,8 +17,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use ecochip_core::sweep::{Shard, SweepAxis, SweepSpec, SweepStats};
-use ecochip_core::{dse, opt, CarbonReport, System};
+use ecochip_core::sweep::{with_line_buffer, Shard, SweepAxis, SweepPoint, SweepSpec, SweepStats};
+use ecochip_core::{dse, opt, CarbonReport, EcoChipError, System};
 use ecochip_techdb::TechDb;
 use ecochip_testcases::catalog::{self, CatalogError};
 
@@ -179,6 +179,35 @@ impl SweepFormat {
             SweepFormat::NdJson => "application/x-ndjson",
             SweepFormat::Frames => crate::frames::CONTENT_TYPE,
         }
+    }
+
+    /// Append `line` (one canonical JSON line, no newline) to `wire`:
+    /// `\n`-terminated for NDJSON, as one frame for `ECOF`.
+    pub fn push_line(self, wire: &mut Vec<u8>, line: &str) {
+        match self {
+            SweepFormat::NdJson => {
+                wire.extend_from_slice(line.as_bytes());
+                wire.push(b'\n');
+            }
+            SweepFormat::Frames => crate::frames::push_frame(wire, line),
+        }
+    }
+
+    /// Append one sweep point's canonical line to `wire` in this format —
+    /// the sweep stream's [`PointEncoder`](ecochip_core::sweep::PointEncoder),
+    /// run on the engine's workers.
+    ///
+    /// # Errors
+    ///
+    /// [`EcoChipError::Io`] if the point does not serialize (a non-finite
+    /// number).
+    pub fn encode_point(self, point: &SweepPoint, wire: &mut Vec<u8>) -> Result<(), EcoChipError> {
+        with_line_buffer(|line| {
+            serde_json::to_string_into(point, line)
+                .map_err(|e| EcoChipError::Io(format!("serializing sweep point: {e}")))?;
+            self.push_line(wire, line);
+            Ok(())
+        })
     }
 }
 

@@ -550,7 +550,8 @@ impl Metrics {
 
         sample(
             "# HELP ecochip_sweep_stage_duration_seconds Accumulated per-stage time of \
-             instrumented sweep requests, by stage."
+             instrumented sweep requests, by stage; estimate and serialize run on the \
+             engine's workers and are summed across them."
                 .into(),
         );
         sample("# TYPE ecochip_sweep_stage_duration_seconds histogram".into());

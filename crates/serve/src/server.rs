@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 
 use ecochip_core::opt;
-use ecochip_core::sweep::{SweepEngine, SweepPoint, SweepSink};
+use ecochip_core::sweep::{PointEncoder, SweepEngine, SweepPoint, SweepSink};
 use ecochip_core::{EcoChip, EcoChipError, EcoChipService, EstimatorConfig};
 use ecochip_techdb::TechDb;
 use ecochip_testcases::catalog;
@@ -1376,22 +1376,21 @@ fn estimate_batch(
         .collect())
 }
 
-/// The streaming sink behind `POST /v1/sweep`: every point is encoded into
-/// one reusable line buffer (no per-point `String` allocation), and a whole
-/// engine batch is flushed as a single transfer chunk — one buffered write
-/// per chunk of K points instead of per point. NDJSON concatenates the
-/// `\n`-terminated lines; `ECOF` frames the same lines with a binary length
-/// prefix (see [`crate::frames`]), so both encodings carry byte-identical
-/// canonical lines.
+/// The streaming sink behind `POST /v1/sweep`. The engine's workers encode
+/// each point with [`SweepFormat::encode_point`] into one buffer per claim
+/// chunk, so this sink only puts finished chunks on the wire — one
+/// transfer chunk per engine chunk of K points. NDJSON concatenates the
+/// `\n`-terminated lines; `ECOF` frames the same lines with a binary
+/// length prefix (see [`crate::frames`]), so both encodings carry
+/// byte-identical canonical lines.
 struct SweepStreamSink<'a, W: Write> {
     chunked: &'a mut http::ChunkedWriter<W>,
     format: SweepFormat,
-    /// Per-request stage clocks (serialize/emit recorded here; the engine
-    /// records estimate into the same accumulator).
+    /// Per-request stage clocks (emit recorded here; the engine records
+    /// estimate and serialize into the same accumulator).
     timings: &'a StageTimings,
-    /// Reusable per-line JSON encode buffer.
-    line: String,
-    /// Reusable per-batch wire buffer (lines or frames).
+    /// Bytes queued ahead of the next chunk: the `ECOF` stream header and
+    /// the in-band error line.
     wire: Vec<u8>,
     /// Whether the `ECOF` stream header has been sent.
     header_sent: bool,
@@ -1400,34 +1399,22 @@ struct SweepStreamSink<'a, W: Write> {
 }
 
 impl<W: Write> SweepStreamSink<'_, W> {
-    /// Encode one point onto `self.wire` in the negotiated format.
-    fn encode(&mut self, point: &SweepPoint) -> Result<(), EcoChipError> {
+    /// Send `bytes` as one transfer chunk.
+    fn send(&mut self, bytes: &[u8]) -> Result<(), EcoChipError> {
         let started = Instant::now();
-        self.line.clear();
-        serde_json::to_string_into(point, &mut self.line)
-            .map_err(|e| EcoChipError::Io(format!("serializing sweep point: {e}")))?;
-        match self.format {
-            SweepFormat::NdJson => {
-                self.wire.extend_from_slice(self.line.as_bytes());
-                self.wire.push(b'\n');
-            }
-            SweepFormat::Frames => frames::push_frame(&mut self.wire, &self.line),
-        }
-        self.timings.record(Stage::Serialize, started.elapsed());
-        Ok(())
+        self.bytes += bytes.len() as u64;
+        let result = self.chunked.chunk(bytes);
+        self.timings.record(Stage::Emit, started.elapsed());
+        result.map_err(|e| EcoChipError::Io(format!("streaming sweep point: {e}")))
     }
 
-    /// Send everything buffered on `self.wire` as one transfer chunk.
+    /// Send everything queued on `self.wire` as one transfer chunk.
     fn flush_wire(&mut self) -> Result<(), EcoChipError> {
         if self.wire.is_empty() {
             return Ok(());
         }
-        let started = Instant::now();
-        self.bytes += self.wire.len() as u64;
-        let result = self.chunked.chunk(&self.wire);
-        self.wire.clear();
-        self.timings.record(Stage::Emit, started.elapsed());
-        result.map_err(|e| EcoChipError::Io(format!("streaming sweep point: {e}")))
+        let wire = std::mem::take(&mut self.wire);
+        self.send(&wire)
     }
 
     /// Queue the `ECOF` stream header ahead of the first frame.
@@ -1442,45 +1429,38 @@ impl<W: Write> SweepStreamSink<'_, W> {
     /// line NDJSON clients split off the stream, framed when negotiated).
     fn emit_error(&mut self, error: &EcoChipError) {
         self.prepare();
-        match serde_json::to_string(&ErrorResponse {
+        let line = serde_json::to_string(&ErrorResponse {
             error: error.to_string(),
-        }) {
-            Ok(line) => match self.format {
-                SweepFormat::NdJson => {
-                    self.wire.extend_from_slice(line.as_bytes());
-                    self.wire.push(b'\n');
-                }
-                SweepFormat::Frames => frames::push_frame(&mut self.wire, &line),
-            },
-            Err(error) => {
-                // The wire types cannot fail serialization; surfaced for
-                // completeness, mirroring `body`.
-                let fallback = format!("{{\"error\":\"serializing response: {error}\"}}");
-                match self.format {
-                    SweepFormat::NdJson => {
-                        self.wire.extend_from_slice(fallback.as_bytes());
-                        self.wire.push(b'\n');
-                    }
-                    SweepFormat::Frames => frames::push_frame(&mut self.wire, &fallback),
-                }
-            }
-        }
+        })
+        // The wire types cannot fail serialization; surfaced for
+        // completeness, mirroring `body`.
+        .unwrap_or_else(|error| format!("{{\"error\":\"serializing response: {error}\"}}"));
+        self.format.push_line(&mut self.wire, &line);
         let _ = self.flush_wire();
     }
 }
 
 impl<W: Write> SweepSink for SweepStreamSink<'_, W> {
     fn emit(&mut self, point: SweepPoint) -> Result<(), EcoChipError> {
-        self.prepare();
-        self.encode(&point)?;
-        self.flush_wire()
+        let mut bytes = Vec::new();
+        self.format.encode_point(&point, &mut bytes)?;
+        self.accept_encoded(&bytes, 1)
     }
 
-    fn accept_batch(&mut self, points: Vec<SweepPoint>) -> Result<(), EcoChipError> {
+    fn encoder(&self) -> Option<PointEncoder> {
+        let format = self.format;
+        Some(Box::new(move |point, wire| {
+            format.encode_point(point, wire)
+        }))
+    }
+
+    fn accept_encoded(&mut self, bytes: &[u8], _points: usize) -> Result<(), EcoChipError> {
         self.prepare();
-        for point in &points {
-            self.encode(point)?;
+        if self.wire.is_empty() {
+            return self.send(bytes);
         }
+        // The first framed chunk carries the stream header.
+        self.wire.extend_from_slice(bytes);
         self.flush_wire()
     }
 }
@@ -1545,7 +1525,6 @@ fn sweep(
         chunked: &mut chunked,
         format,
         timings: &timings,
-        line: String::new(),
         wire: Vec::new(),
         header_sent: false,
         bytes: 0,

@@ -80,13 +80,17 @@
 //! flags, test cases, sweep axes, malformed `--addr`), `1` for runtime
 //! failures.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use eco_chip::core::costing::system_cost;
 use eco_chip::core::dse::{named_sweep_axis, NAMED_SWEEP_AXES};
 use eco_chip::core::opt::{self, METHOD_NAMES, OBJECTIVE_NAMES};
-use eco_chip::core::sweep::{Shard, SweepEngine, SweepPoint, SweepSpec, CHUNK_ENV_VAR};
+use eco_chip::core::sweep::{
+    with_line_buffer, PointEncoder, Shard, SweepEngine, SweepPoint, SweepSink, SweepSpec,
+    CHUNK_ENV_VAR,
+};
 use eco_chip::core::{EcoChip, EcoChipService, EstimatorConfig, System};
 use eco_chip::serve::orchestrator::{self, FailoverPolicy, WorkerPool};
 use eco_chip::serve::{OptimizeRequest, ServeConfig, ServeError, Server, SweepRequest};
@@ -312,35 +316,97 @@ fn run(system: &System, db: TechDb, options: &OutputOptions) -> CliResult {
     Ok(())
 }
 
-const SWEEP_CSV_HEADER: &str =
-    "label,manufacturing_kg,design_kg,hi_kg,embodied_kg,operational_kg,total_kg";
-
-/// Append one sweep CSV row (no trailing newline) to a reusable buffer, so
-/// streaming runs format every row without a fresh `String` per point.
-fn push_csv_row(out: &mut String, point: &SweepPoint) {
-    use std::fmt::Write;
-    let r = &point.report;
-    let _ = write!(
-        out,
-        "{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4}",
-        point.label,
-        r.manufacturing().kg(),
-        r.design().kg(),
-        r.hi_overhead().kg(),
-        r.embodied().kg(),
-        r.operational().kg(),
-        r.total().kg()
-    );
-}
-
 fn sweep_csv(points: &[SweepPoint]) -> String {
-    let mut out = String::from(SWEEP_CSV_HEADER);
+    let mut out = String::from(SweepPoint::CSV_HEADER);
     out.push('\n');
     for point in points {
-        push_csv_row(&mut out, point);
+        point.write_csv_row(&mut out);
         out.push('\n');
     }
     out
+}
+
+/// Append one `--stream` line for `point` (a compact JSON object or a CSV
+/// row, newline included) to `out`: the CLI stream's point encoder.
+fn encode_stream_line(
+    format: StreamFormat,
+    point: &SweepPoint,
+    out: &mut Vec<u8>,
+) -> Result<(), eco_chip::EcoChipError> {
+    with_line_buffer(|line| {
+        match format {
+            StreamFormat::Csv => point.write_csv_row(line),
+            StreamFormat::JsonLines => {
+                serde_json::to_string_into(point, line).map_err(|error| {
+                    eco_chip::EcoChipError::Io(format!(
+                        "writing JSON-lines stream: serializing sweep point {:?}: {error}",
+                        point.label
+                    ))
+                })?;
+            }
+        }
+        line.push('\n');
+        out.extend_from_slice(line.as_bytes());
+        Ok(())
+    })
+}
+
+/// The sweep command's sink: the `--stream` point stream on stdout, the
+/// incremental `--csv` file of a streaming run, and the points kept for the
+/// summary table or a `--json` export. A run that only streams supplies
+/// [`encode_stream_line`] as its encoder, so the engine's workers format
+/// the stream and this sink just writes their chunks.
+struct CliSweepSink<W: Write> {
+    stream: Option<(W, StreamFormat)>,
+    csv_file: Option<std::io::BufWriter<std::fs::File>>,
+    points: Option<Vec<SweepPoint>>,
+    /// Reusable encode buffer for the per-point path.
+    line: Vec<u8>,
+}
+
+impl<W: Write> SweepSink for CliSweepSink<W> {
+    fn emit(&mut self, point: SweepPoint) -> Result<(), eco_chip::EcoChipError> {
+        if let Some((out, format)) = &mut self.stream {
+            self.line.clear();
+            encode_stream_line(*format, &point, &mut self.line)?;
+            out.write_all(&self.line)
+                .map_err(|e| eco_chip::EcoChipError::Io(format!("writing point stream: {e}")))?;
+        }
+        if let Some(file) = &mut self.csv_file {
+            self.line.clear();
+            encode_stream_line(StreamFormat::Csv, &point, &mut self.line)?;
+            file.write_all(&self.line)
+                .map_err(|e| eco_chip::EcoChipError::Io(format!("writing sweep CSV: {e}")))?;
+        }
+        if let Some(points) = &mut self.points {
+            points.push(point);
+        }
+        Ok(())
+    }
+
+    fn encoder(&self) -> Option<PointEncoder> {
+        match (&self.stream, &self.csv_file, &self.points) {
+            (Some((_, format)), None, None) => {
+                let format = *format;
+                Some(Box::new(move |point, out| {
+                    encode_stream_line(format, point, out)
+                }))
+            }
+            _ => None,
+        }
+    }
+
+    fn accept_encoded(
+        &mut self,
+        bytes: &[u8],
+        _points: usize,
+    ) -> Result<(), eco_chip::EcoChipError> {
+        let Some((out, _)) = &mut self.stream else {
+            return Ok(());
+        };
+        out.write_all(bytes)
+            .map_err(|e| eco_chip::EcoChipError::Io(format!("writing point stream: {e}")))
+    }
 }
 
 /// Incremental sweep output selected by `--stream`.
@@ -428,76 +494,44 @@ fn run_sweep(
              prefer `--stream jsonl > file` for very large sweeps"
         );
     }
-    let mut points: Vec<SweepPoint> = Vec::new();
-    let mut csv_file = match (&options.csv, streaming) {
+    let csv_file = match (&options.csv, streaming) {
         (Some(path), true) => {
             let mut file = std::io::BufWriter::new(std::fs::File::create(path).map_err(|e| {
                 eco_chip::EcoChipError::Io(format!("creating {}: {e}", path.display()))
             })?);
-            use std::io::Write;
-            writeln!(file, "{SWEEP_CSV_HEADER}")
+            writeln!(file, "{}", SweepPoint::CSV_HEADER)
                 .map_err(|e| eco_chip::EcoChipError::Io(e.to_string()))?;
             Some(file)
         }
         _ => None,
     };
-    // Stream emission goes through one locked, buffered stdout writer and
-    // one reusable encode buffer: per point the only work is formatting
-    // into the buffer and a memcpy into the writer — no `String`
-    // allocation and no stdout lock/flush round-trip per line. The bytes
-    // are identical to the old per-point `println!` path (CI diffs this
-    // stream against the HTTP one).
-    let mut stream_out = options
+    // Stream emission goes through one locked, buffered stdout writer. The
+    // bytes are identical to the old per-point `println!` path (CI diffs
+    // this stream against the HTTP one).
+    let mut stream = options
         .stream
-        .map(|_| std::io::BufWriter::new(std::io::stdout().lock()));
-    let mut line = String::new();
+        .map(|format| (std::io::BufWriter::new(std::io::stdout().lock()), format));
     // Only the first shard prints the CSV header, so concatenating shard
     // outputs 0/N..(N-1)/N reproduces the unsharded stream verbatim.
-    if options.stream == Some(StreamFormat::Csv) && shard.index() == 0 {
-        if let Some(out) = &mut stream_out {
-            use std::io::Write;
-            writeln!(out, "{SWEEP_CSV_HEADER}")
+    if let Some((out, StreamFormat::Csv)) = &mut stream {
+        if shard.index() == 0 {
+            writeln!(out, "{}", SweepPoint::CSV_HEADER)
                 .map_err(|e| eco_chip::EcoChipError::Io(format!("writing point stream: {e}")))?;
         }
     }
-    let stream = options.stream;
-    service.run_streaming(&spec, shard, &mut |point: SweepPoint| {
-        use std::io::Write;
-        if let (Some(out), Some(format)) = (&mut stream_out, stream) {
-            line.clear();
-            match format {
-                StreamFormat::Csv => push_csv_row(&mut line, &point),
-                StreamFormat::JsonLines => {
-                    serde_json::to_string_into(&point, &mut line).map_err(|error| {
-                        eco_chip::EcoChipError::Io(format!(
-                            "writing JSON-lines stream: serializing sweep point {:?}: {error}",
-                            point.label
-                        ))
-                    })?;
-                }
-            }
-            line.push('\n');
-            out.write_all(line.as_bytes())
-                .map_err(|e| eco_chip::EcoChipError::Io(format!("writing point stream: {e}")))?;
-        }
-        if let Some(file) = &mut csv_file {
-            line.clear();
-            push_csv_row(&mut line, &point);
-            writeln!(file, "{line}")
-                .map_err(|e| eco_chip::EcoChipError::Io(format!("writing sweep CSV: {e}")))?;
-        }
-        if collect {
-            points.push(point);
-        }
-        Ok(())
-    })?;
-    if let Some(mut out) = stream_out {
-        use std::io::Write;
+    let mut sink = CliSweepSink {
+        stream,
+        csv_file,
+        points: collect.then(Vec::new),
+        line: Vec::new(),
+    };
+    service.run_streaming(&spec, shard, &mut sink)?;
+    let points = sink.points.unwrap_or_default();
+    if let Some((mut out, _)) = sink.stream {
         out.flush()
             .map_err(|e| eco_chip::EcoChipError::Io(format!("flushing point stream: {e}")))?;
     }
-    if let Some(file) = csv_file {
-        use std::io::Write;
+    if let Some(file) = sink.csv_file {
         file.into_inner()
             .map_err(|e| CliError::Run(Box::new(e.into_error())))?
             .flush()?;
@@ -591,7 +625,6 @@ fn run_optimize(
         None,
         config,
         |event: &opt::OptEvent| {
-            use std::io::Write;
             line.clear();
             serde_json::to_string_into(event, &mut line).map_err(|error| {
                 eco_chip::EcoChipError::Io(format!("serializing optimize event: {error}"))
@@ -602,7 +635,6 @@ fn run_optimize(
         },
     )?;
     {
-        use std::io::Write;
         out.flush()
             .map_err(|e| eco_chip::EcoChipError::Io(format!("flushing event stream: {e}")))?;
     }
@@ -1060,7 +1092,6 @@ fn run_orchestrate(args: &[String]) -> CliResult {
         let mut merged_out = std::io::BufWriter::new(std::io::stdout().lock());
         let outcome =
             orchestrator::orchestrate_optimize(&db, &opt_request, &pool, &policy, rounds, |line| {
-                use std::io::Write;
                 merged_out
                     .write_all(line.as_bytes())
                     .and_then(|()| merged_out.write_all(b"\n"))
@@ -1068,7 +1099,6 @@ fn run_orchestrate(args: &[String]) -> CliResult {
             })
             .map_err(serve_error)?;
         {
-            use std::io::Write;
             merged_out
                 .flush()
                 .map_err(|e| eco_chip::EcoChipError::Io(format!("flushing merged stream: {e}")))?;
@@ -1094,7 +1124,6 @@ fn run_orchestrate(args: &[String]) -> CliResult {
     // nothing about the stream except the number of write syscalls.
     let mut merged_out = std::io::BufWriter::new(std::io::stdout().lock());
     let outcome = orchestrator::orchestrate_with(&db, &request, &pool, &policy, |line| {
-        use std::io::Write;
         merged_out
             .write_all(line.as_bytes())
             .and_then(|()| merged_out.write_all(b"\n"))
@@ -1102,7 +1131,6 @@ fn run_orchestrate(args: &[String]) -> CliResult {
     })
     .map_err(serve_error)?;
     {
-        use std::io::Write;
         merged_out
             .flush()
             .map_err(|e| eco_chip::EcoChipError::Io(format!("flushing merged stream: {e}")))?;

@@ -239,3 +239,124 @@ fn streaming_serializer_matches_value_tree_for_every_builtin() {
         }
     }
 }
+
+/// `f64`'s `Display` with JSON's `.0` suffix rule: the bytes the float
+/// writer must reproduce.
+fn display_json(value: f64) -> String {
+    let mut text = format!("{value}");
+    if !text.contains('.') {
+        text.push_str(".0");
+    }
+    text
+}
+
+fn float_writer(value: f64) -> String {
+    let mut out = String::new();
+    serde::write_json_f64(value, &mut out).expect("finite value");
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200_000))]
+
+    /// The shortest round-trip float writer is byte-identical to `Display`
+    /// plus the `.0` rule for any bit pattern, and rejects NaN and the
+    /// infinities.
+    #[test]
+    fn float_writer_matches_display_on_random_bit_patterns(
+        high in 0u64..(1 << 32),
+        low in 0u64..(1 << 32),
+    ) {
+        let value = f64::from_bits(high << 32 | low);
+        if value.is_finite() {
+            prop_assert_eq!(float_writer(value), display_json(value));
+        } else {
+            prop_assert!(serde::write_json_f64(value, &mut String::new()).is_err());
+        }
+    }
+}
+
+/// The float writer on the values most likely to break a shortest-digit
+/// algorithm: zeros, subnormals, the range ends, every power of two and
+/// ten, integers around 2^53, and every number of a real sweep point.
+#[test]
+fn float_writer_matches_display_on_edge_cases() {
+    use eco_chip::core::dse::named_sweep_axis;
+    use eco_chip::core::sweep::{SweepEngine, SweepSpec};
+    use eco_chip::techdb::TechDb;
+    use eco_chip::testcases::catalog;
+    use serde::{Serialize, Value};
+
+    let mut cases = vec![
+        0.0,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::EPSILON,
+        f64::from_bits(1),
+        f64::from_bits(0x000f_ffff_ffff_ffff),
+        f64::from_bits(0x0010_0000_0000_0001),
+    ];
+    // Subnormals: the smallest, then one per bit of the mantissa.
+    for shift in 0..52 {
+        cases.push(f64::from_bits(1 << shift));
+        cases.push(f64::from_bits((1 << shift) | 1));
+    }
+    for exp in -1074..=1023 {
+        cases.push(2f64.powi(exp));
+    }
+    for exp in -323..=308 {
+        cases.push(format!("1e{exp}").parse().unwrap());
+    }
+    let two_53 = 9_007_199_254_740_992.0_f64;
+    for offset in -64..=64 {
+        cases.push(two_53 + f64::from(offset));
+        cases.push(two_53 / 2.0 + f64::from(offset) / 2.0);
+    }
+
+    // Every number of a real ga102-3chiplet sweep point line, 17
+    // significant digits included.
+    fn floats(value: &Value, out: &mut Vec<f64>) {
+        match value {
+            Value::Float(f) => out.push(*f),
+            Value::Array(items) => items.iter().for_each(|item| floats(item, out)),
+            Value::Object(fields) => fields.iter().for_each(|(_, item)| floats(item, out)),
+            _ => {}
+        }
+    }
+    let db = TechDb::default();
+    let system = catalog::build(&db, "ga102-3chiplet").unwrap();
+    let spec = SweepSpec::new(system.clone()).axis(named_sweep_axis("lifetime", &system).unwrap());
+    let point = SweepEngine::serial()
+        .run(&EcoChip::default(), &spec)
+        .unwrap()
+        .remove(0);
+    let mut point_floats = Vec::new();
+    floats(&point.to_value(), &mut point_floats);
+    let seventeen_digits = point_floats
+        .iter()
+        .filter(|f| {
+            format!("{f:e}")
+                .trim_start_matches('-')
+                .split('e')
+                .next()
+                .unwrap()
+                .len()
+                == 18
+        })
+        .count();
+    assert!(seventeen_digits > 0, "{point_floats:?}");
+    cases.extend(point_floats);
+
+    for value in cases {
+        for value in [value, -value] {
+            assert_eq!(
+                float_writer(value),
+                display_json(value),
+                "bits {:#018x}",
+                value.to_bits()
+            );
+        }
+    }
+    assert_eq!(float_writer(-0.0), "-0.0");
+    assert_eq!(float_writer(0.0), "0.0");
+}

@@ -12,11 +12,14 @@
 use proptest::prelude::*;
 
 use eco_chip::core::disaggregation::NodeTuple;
-use eco_chip::core::sweep::{Shard, SweepAxis, SweepContext, SweepEngine, SweepPoint, SweepSpec};
+use eco_chip::core::sweep::{
+    PointEncoder, Shard, SweepAxis, SweepContext, SweepEngine, SweepPoint, SweepSink, SweepSpec,
+};
 use eco_chip::core::{EcoChip, EcoChipError, EcoChipService, System};
 use eco_chip::packaging::{
     InterposerConfig, PackagingArchitecture, RdlFanoutConfig, SiliconBridgeConfig, ThreeDConfig,
 };
+use eco_chip::serve::SweepFormat;
 use eco_chip::techdb::{EnergySource, TechDb, TechNode};
 use eco_chip::testcases::{a15, arvr, emr, ga102};
 
@@ -293,5 +296,202 @@ proptest! {
                 f.report.total().kg().to_bits()
             );
         }
+    }
+}
+
+/// A byte sink over one point encoder. With `on_workers` it hands the
+/// encoder to the engine, whose workers encode their own chunks; without,
+/// every point is emitted to the calling thread and encoded there — the
+/// serial emit-then-encode reference.
+struct EncodedStream {
+    encode: fn(&SweepPoint, &mut Vec<u8>) -> Result<(), EcoChipError>,
+    on_workers: bool,
+    bytes: Vec<u8>,
+    points: usize,
+}
+
+impl EncodedStream {
+    fn new(encode: fn(&SweepPoint, &mut Vec<u8>) -> Result<(), EcoChipError>) -> Self {
+        Self {
+            encode,
+            on_workers: true,
+            bytes: Vec::new(),
+            points: 0,
+        }
+    }
+}
+
+impl SweepSink for EncodedStream {
+    fn emit(&mut self, point: SweepPoint) -> Result<(), EcoChipError> {
+        (self.encode)(&point, &mut self.bytes)?;
+        self.points += 1;
+        Ok(())
+    }
+
+    fn encoder(&self) -> Option<PointEncoder> {
+        self.on_workers
+            .then(|| -> PointEncoder { Box::new(self.encode) })
+    }
+
+    fn accept_encoded(&mut self, bytes: &[u8], points: usize) -> Result<(), EcoChipError> {
+        self.bytes.extend_from_slice(bytes);
+        self.points += points;
+        Ok(())
+    }
+}
+
+fn ndjson(point: &SweepPoint, out: &mut Vec<u8>) -> Result<(), EcoChipError> {
+    SweepFormat::NdJson.encode_point(point, out)
+}
+
+fn ecof(point: &SweepPoint, out: &mut Vec<u8>) -> Result<(), EcoChipError> {
+    SweepFormat::Frames.encode_point(point, out)
+}
+
+/// The CLI's `--stream csv` row encoding.
+fn csv(point: &SweepPoint, out: &mut Vec<u8>) -> Result<(), EcoChipError> {
+    let mut line = String::new();
+    point.write_csv_row(&mut line);
+    line.push('\n');
+    out.extend_from_slice(line.as_bytes());
+    Ok(())
+}
+
+fn random_spec(n_packaging: usize, n_lifetimes: usize, n_sources: usize) -> SweepSpec {
+    let db = TechDb::default();
+    let base = ga102::three_chiplet_system(
+        &db,
+        NodeTuple::new(TechNode::N7, TechNode::N14, TechNode::N10),
+    )
+    .unwrap();
+    let lifetimes = [1.0, 2.0, 3.0, 5.0];
+    let sources = [
+        EnergySource::Coal,
+        EnergySource::WorldGrid,
+        EnergySource::Wind,
+    ];
+    SweepSpec::new(base)
+        .axis(SweepAxis::Packaging(
+            all_packagings()[..n_packaging].to_vec(),
+        ))
+        .axis(SweepAxis::lifetimes_years(&lifetimes[..n_lifetimes]))
+        .axis(SweepAxis::FabEnergySources(sources[..n_sources].to_vec()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Worker-side encoding is invisible in the bytes: for random specs and
+    /// every worker count and chunk size, the NDJSON, `ECOF` and CSV
+    /// streams the workers encode equal the serial stream built by
+    /// emitting each point and encoding it on the calling thread.
+    #[test]
+    fn worker_encoded_streams_equal_the_serial_emit_then_encode_stream(
+        n_packaging in 1usize..=4,
+        n_lifetimes in 1usize..=4,
+        n_sources in 1usize..=3,
+    ) {
+        let estimator = EcoChip::default();
+        let spec = random_spec(n_packaging, n_lifetimes, n_sources);
+        let total = spec.try_len().unwrap();
+        for encode in [ndjson, ecof, csv] {
+            let mut reference = EncodedStream::new(encode);
+            reference.on_workers = false;
+            SweepEngine::serial()
+                .with_chunk(1)
+                .run_streaming(&estimator, &spec, &mut reference)
+                .unwrap();
+            prop_assert_eq!(reference.points, total);
+            for jobs in [1usize, 2, 3, 8] {
+                for chunk in [1usize, 5, 32] {
+                    let mut stream = EncodedStream::new(encode);
+                    let emitted = SweepEngine::with_jobs(jobs)
+                        .with_chunk(chunk)
+                        .run_streaming(&estimator, &spec, &mut stream)
+                        .unwrap();
+                    prop_assert_eq!(emitted, total);
+                    prop_assert_eq!(stream.points, total);
+                    prop_assert!(
+                        stream.bytes == reference.bytes,
+                        "jobs={} chunk={}: worker-encoded stream diverged",
+                        jobs,
+                        chunk
+                    );
+                }
+            }
+        }
+    }
+
+    /// An encoder failure at index k surfaces as the sweep's error (the
+    /// lowest-index one), after exactly the k points before it.
+    #[test]
+    fn encoder_failures_surface_at_the_lowest_index(
+        n_packaging in 2usize..=4,
+        n_lifetimes in 2usize..=4,
+        k_seed in 0usize..1000,
+    ) {
+        let estimator = EcoChip::default();
+        let spec = random_spec(n_packaging, n_lifetimes, 1);
+        let points = SweepEngine::serial().run(&estimator, &spec).unwrap();
+        // Fail on the label of point k; labels can repeat, so k is the
+        // first point carrying it.
+        let label = points[k_seed % points.len()].label.clone();
+        let k = points.iter().position(|p| p.label == label).unwrap();
+        for jobs in [1usize, 2, 3, 8] {
+            for chunk in [1usize, 5, 32] {
+                let failing = label.clone();
+                let mut sink = FailingEncoder {
+                    label: failing,
+                    bytes: Vec::new(),
+                    points: 0,
+                };
+                let result = SweepEngine::with_jobs(jobs)
+                    .with_chunk(chunk)
+                    .run_streaming(&estimator, &spec, &mut sink);
+                match result {
+                    Err(EcoChipError::Io(message)) => {
+                        prop_assert!(message.contains(&label), "{}", message)
+                    }
+                    other => prop_assert!(false, "expected the encoder error, got {:?}", other),
+                }
+                prop_assert!(sink.points == k, "jobs={} chunk={}: {} points before the error", jobs, chunk, sink.points);
+                let mut prefix = Vec::new();
+                for point in &points[..k] {
+                    ndjson(point, &mut prefix).unwrap();
+                }
+                prop_assert!(sink.bytes == prefix, "jobs={} chunk={}", jobs, chunk);
+            }
+        }
+    }
+}
+
+/// NDJSON with an injected encoder failure on every point with `label`.
+struct FailingEncoder {
+    label: String,
+    bytes: Vec<u8>,
+    points: usize,
+}
+
+impl SweepSink for FailingEncoder {
+    fn emit(&mut self, _point: SweepPoint) -> Result<(), EcoChipError> {
+        unreachable!("the engine encodes on its workers when a sink has an encoder")
+    }
+
+    fn encoder(&self) -> Option<PointEncoder> {
+        let label = self.label.clone();
+        Some(Box::new(move |point, out| {
+            if point.label == label {
+                // A partial encoding the engine must discard.
+                out.extend_from_slice(b"{\"partial");
+                return Err(EcoChipError::Io(format!("injected failure at {label}")));
+            }
+            ndjson(point, out)
+        }))
+    }
+
+    fn accept_encoded(&mut self, bytes: &[u8], points: usize) -> Result<(), EcoChipError> {
+        self.bytes.extend_from_slice(bytes);
+        self.points += points;
+        Ok(())
     }
 }
